@@ -2,18 +2,25 @@
 
 This is the Boolean-function substrate underneath the whole STE stack
 (the analogue of the BDD package inside Intel's Forte system used by the
-paper).  The kernel is a packed-array, complement-edged implementation:
+paper).  The manager is a thin layer over a *kernel* that owns node
+storage, the unique table, the computed tables and the apply loops:
 
-* node storage is three parallel flat int vectors (level, low, high)
-  indexed by *node index* — no per-node Python objects.  Plain lists
-  beat ``array('q')`` here: the kernel is index-read dominated, and a
-  list returns its cached small-int object where the typed array has
-  to box a fresh one per access (~30% per read, measured);
+* the native kernel (``_native.c``, compiled on first import by
+  :mod:`repro.bdd.native`) keeps nodes in flat int32 arrays and its
+  tables in open-addressing hash tables, and runs the AND/OR, XOR and
+  ITE loops in C;
+* the pure-Python kernel (:class:`repro.bdd.kernel.PyKernel`) is the
+  same algorithm over lists and dicts — the fallback when the extension
+  cannot be built, and the equivalence oracle of the tests.
+
+Both produce identical node ids, counters and computed-table tapes.
+:data:`KERNEL` names the one in use.  The kernel's design:
+
 * a node id carries a **complement edge** in its lowest bit
   (``id = index << 1 | complement``), so negation is ``id ^ 1`` — O(1),
   allocation-free, and the NOT computed table disappears entirely.
-  Canonicity is restored at ``_mk`` time with the CUDD rules: stored
-  nodes always have a *regular* (uncomplemented) high edge, and
+  Canonicity is restored at node-creation time with the CUDD rules:
+  stored nodes always have a *regular* (uncomplemented) high edge, and
   ``mk(v, f, f) == f``;
 * AND and OR share one iterative kernel and one computed table through
   De Morgan (``f | g == ~(~f & ~g)``), so the dual-rail encodings the
@@ -21,27 +28,22 @@ paper).  The kernel is a packed-array, complement-edged implementation:
   high rail) hit each other's cache entries;
 * XOR strips complement bits from both operands before the table
   lookup (``~f ^ g == ~(f ^ g)``), quartering its key space;
-* the unique table is split into **per-level subtables**, which makes
-  adjacent-level swaps (dynamic sifting, :func:`repro.bdd.reorder.sift`)
-  a local rebuild of two dictionaries instead of a full-table rekey;
 * the unique table and the computed tables are **garbage collected**:
-  :meth:`collect` mark-and-sweeps from every live :class:`Ref` (found
-  through the cyclic-GC object graph) plus registered root providers,
-  freed indices go on a free list for reuse, and the node count stops
-  being monotone.  :meth:`maybe_collect` is the safe-point hook callers
+  :meth:`BDDManager.collect` mark-and-sweeps from every live
+  :class:`Ref` (found through the cyclic-GC object graph) plus
+  registered root providers, freed indices go on a free list for
+  reuse, and the node count stops being monotone.
+  :meth:`BDDManager.maybe_collect` is the safe-point hook callers
   invoke between logical operations.
 
+The quantification, restriction, composition and inspection algorithms
+stay here in Python and read nodes through the kernel's accessors.
 Nodes are exposed to callers as :class:`Ref` handles carrying their
 manager, so expressions read naturally::
 
     mgr = BDDManager()
     a, b = mgr.var("a"), mgr.var("b")
     f = (a & b) | ~a
-
-All computed tables are keyed by packed integers (``f << 30 | g``)
-rather than tuples: node ids stay below 2**30 (memory runs out orders
-of magnitude earlier), and small-int keys avoid a tuple allocation per
-lookup on the hot path.
 """
 
 from __future__ import annotations
@@ -51,25 +53,19 @@ import weakref
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
-__all__ = ["BDDManager", "Ref", "BDDError"]
+from .kernel import BDDError
+from .native import select as _select_kernel
 
-
-class BDDError(Exception):
-    """Raised for structural misuse of the BDD manager (mixed managers,
-    unknown variables, malformed assignments)."""
-
+__all__ = ["BDDManager", "Ref", "BDDError", "KERNEL"]
 
 # Terminal ids: index 0 is the one terminal node; the complement bit
 # distinguishes FALSE (0) from TRUE (1).  Internal ids start at 2.
 _FALSE = 0
 _TRUE = 1
 
-# Key packing width: node ids stay < 2**30 (indices < 2**29).
-_S = 30
-_MAX_INDEX = 1 << (_S - 1)
-
-# Sentinel level for the terminal index (sorts below every variable).
-_TERMINAL_LEVEL = 2 ** 60
+#: The kernel class every manager runs on, and its name: ``"native"``
+#: when the C extension built, ``"python"`` when it fell back.
+_Kernel, KERNEL = _select_kernel()
 
 
 class Ref:
@@ -182,37 +178,25 @@ class Ref:
 
 
 class BDDManager:
-    """Owns the unique table, the variable order and all node storage."""
+    """Owns the variable order, the GC policy and one kernel (node
+    storage, unique and computed tables)."""
 
     def __init__(self):
-        # Parallel arrays indexed by node *index* (id >> 1); entry 0 is
-        # the terminal.  Freed entries carry level -1 until reused.
-        self._level: List[int] = [_TERMINAL_LEVEL]
-        self._low: List[int] = [0]
-        self._high: List[int] = [0]
-        # Per-level unique subtables: (low << 30 | high) -> index.
-        self._subtables: List[Dict[int, int]] = []
-        # Indices available for reuse after a collect().
-        self._free: List[int] = []
-        # Computed tables, packed-int keyed.  AND and OR share one table
-        # (De Morgan); XOR keys on complement-stripped operand pairs.
-        self._and_cache: Dict[int, int] = {}
-        self._xor_cache: Dict[int, int] = {}
-        self._ite_cache: Dict[int, int] = {}
-        # [hits, misses(, entries-since-clear)] per operation.  AND and
-        # OR share a table, so each carries its own entry counter; the
-        # per-op tables just report their size.
-        self._stats_and = [0, 0, 0]
-        self._stats_or = [0, 0, 0]
-        self._stats_xor = [0, 0]
-        self._stats_ite = [0, 0]
+        k = self._k = _Kernel()
+        # The apply entry points are the kernel's own (bound) methods:
+        # hot callers (the ternary layer, BVec) call into the kernel
+        # with no manager frame in between.
+        self._apply_and = k.and_
+        self._apply_or = k.or_
+        self._apply_xor = k.xor
+        self._ite = k.ite
+        self._mk = k.mk
         self._cache_epoch = 0
         self._gc_epoch = 0
-        self._reorder_count = 0
         # Variable bookkeeping: name <-> level (level == order position).
         self._var_names: List[str] = []
         self._name_to_level: Dict[str, int] = {}
-        # -- garbage collection / reordering policy --------------------
+        # -- garbage collection policy ---------------------------------
         #: automatic collection at :meth:`maybe_collect` safe points
         self.auto_gc = True
         #: live-node floor below which collection is never triggered;
@@ -231,22 +215,11 @@ class BDDManager:
         #: (500k–1M) for memory-bounded runs where peak unique-table
         #: size matters more than wall clock.
         self.gc_threshold = 32_000_000
-        #: automatic dynamic sifting at safe points.  Off by default:
-        #: the netlist-derived static orders (:mod:`repro.bdd.reorder`)
-        #: are near-optimal for this workload and a sifting pass over a
-        #: multi-million-node live graph costs whole seconds — it is
-        #: the escape hatch for workloads *without* a good static
-        #: order, not a default tax.  Enable and set
-        #: :attr:`reorder_threshold` to arm the growth trigger.
-        self.auto_reorder = False
-        #: live-node floor that arms the sifting trigger
-        self.reorder_threshold = 300_000
-        # Post-collect live counts; the effective trigger limits are
-        # derived from these *and* the thresholds at check time, so
-        # assigning gc_threshold/reorder_threshold after construction
-        # takes effect immediately.
+        # Post-collect live count; the effective trigger limit is
+        # derived from it *and* the threshold at check time, so
+        # assigning gc_threshold after construction takes effect
+        # immediately.
         self._gc_live_floor = 0
-        self._reorder_live_floor = 0
         self._roots_providers: List[weakref.ref] = []
         self._peak_nodes = 1
         self._collections = 0
@@ -272,7 +245,7 @@ class BDDManager:
         level = len(self._var_names)
         self._var_names.append(name)
         self._name_to_level[name] = level
-        self._subtables.append({})
+        self._k.add_level()
         return level
 
     def declare_all(self, names: Iterable[str]) -> None:
@@ -297,12 +270,12 @@ class BDDManager:
         """Name of the top variable of *ref* (None for terminals)."""
         if ref.node < 2:
             return None
-        return self._var_names[self._level[ref.node >> 1]]
+        return self._var_names[self._k.level(ref.node >> 1)]
 
     def num_nodes(self) -> int:
         """Live interned nodes (including the terminal) — allocated
         minus collected, so no longer monotone."""
-        return len(self._level) - len(self._free)
+        return self._k.num_nodes()
 
     def node_triple(self, node: int) -> Tuple[str, int, int]:
         """(top variable name, low child id, high child id) of an
@@ -314,10 +287,9 @@ class BDDManager:
         have no triple and raise."""
         if node < 2:
             raise BDDError("terminal nodes have no (var, low, high) triple")
-        idx = node >> 1
         c = node & 1
-        return (self._var_names[self._level[idx]],
-                self._low[idx] ^ c, self._high[idx] ^ c)
+        level, low, high = self._k.node(node >> 1)
+        return (self._var_names[level], low ^ c, high ^ c)
 
     def computed_entries(self, start: Optional[Tuple[int, ...]] = None
                          ) -> Iterator[Tuple[str, Tuple[int, ...], int]]:
@@ -342,437 +314,31 @@ class BDDManager:
         *start* — a :meth:`computed_sizes`-shaped tuple — skips that
         many leading entries of each table, so incremental consumers
         pay only for what was computed since their previous call."""
-        offsets = start or (0, 0, 0)
-        mask = (1 << _S) - 1
-        tables = (("and", 2, self._and_cache),
-                  ("xor", 2, self._xor_cache),
-                  ("ite", 3, self._ite_cache))
-        for (op, arity, table), skip in zip(tables, offsets):
-            items = (itertools.islice(table.items(), skip, None)
-                     if skip else table.items())
-            if arity == 2:
-                for key, r in items:
-                    yield (op, (key >> _S, key & mask), r)
-            else:
-                for key, r in items:
-                    yield (op, (key >> 60, (key >> _S) & mask, key & mask),
-                           r)
+        return self._k.computed_entries(tuple(start) if start else None)
 
     def computed_sizes(self) -> Tuple[int, ...]:
         """Sizes of the computed tables — a cheap change indicator for
         consumers caching a view of :meth:`computed_entries`."""
-        return (len(self._and_cache), len(self._xor_cache),
-                len(self._ite_cache))
-
-    # ------------------------------------------------------------------
-    # Node construction
-    # ------------------------------------------------------------------
-    def _mk(self, level: int, low: int, high: int) -> int:
-        if low == high:
-            return low
-        # Canonical form: the stored high edge is always regular.
-        c = high & 1
-        if c:
-            low ^= 1
-            high ^= 1
-        table = self._subtables[level]
-        key = (low << _S) | high
-        idx = table.get(key)
-        if idx is None:
-            free = self._free
-            if free:
-                idx = free.pop()
-                self._level[idx] = level
-                self._low[idx] = low
-                self._high[idx] = high
-            else:
-                idx = len(self._level)
-                if idx == _MAX_INDEX:
-                    # Beyond this index the packed keys would overlap and
-                    # the tables would silently return wrong nodes — in a
-                    # verification kernel that must be a loud failure.
-                    raise BDDError(
-                        f"unique table exceeded {_MAX_INDEX} nodes; packed "
-                        f"table keys would no longer be collision-free")
-                self._level.append(level)
-                self._low.append(low)
-                self._high.append(high)
-            table[key] = idx
-        # Deliberately no counter/threshold bookkeeping here: _mk is the
-        # hottest function in the package, and the live count is
-        # derivable (allocated minus free-listed).  GC/reorder triggers
-        # are evaluated at the maybe_collect() safe points instead.
-        return (idx << 1) | c
+        return self._k.computed_sizes()
 
     def _check(self, *refs: Ref) -> None:
         for ref in refs:
             if ref.mgr is not self:
                 raise BDDError("Ref belongs to a different BDDManager")
 
-    # ------------------------------------------------------------------
-    # The shared AND/OR kernel (the hot path)
-    #
-    # One iterative two-phase loop over an explicit stack: a 3-tuple
-    # frame (a, b, key) expands a subproblem — resolving both cofactor
-    # children through the terminal rules or the computed table — and a
-    # 6-tuple frame (key, level, lo, lkey, hi, hkey) combines children
-    # once they are available.  Children are pushed after their combine
-    # frame, so LIFO order guarantees the combine frame finds them in
-    # the cache.  OR enters through De Morgan and attributes its cache
-    # traffic to the caller-supplied stats slot, so the per-op counters
-    # survive the table merge.
-    # ------------------------------------------------------------------
-    def _and_kernel(self, f: int, g: int, stats: List[int]) -> int:
-        # Everything below is hoisted into locals and the unique-table
-        # insert (_mk) is inlined at the combine point: this loop is the
-        # hottest code in the package and a bound-method call per miss
-        # is measurable.  Complement bits are applied behind branches
-        # because regular ids dominate and ``x ^ 0`` still allocates.
-        if f == g:
-            return f
-        if f > g:
-            f, g = g, f
-        if f < 2:
-            return g if f else _FALSE
-        if g == f ^ 1:
-            return _FALSE
-        cache = self._and_cache
-        key0 = (f << _S) | g
-        result = cache.get(key0)
-        if result is not None:
-            stats[0] += 1
-            return result
-        level_ = self._level
-        low_ = self._low
-        high_ = self._high
-        subtables_ = self._subtables
-        free_ = self._free
-        get = cache.get
-        hits = 0
-        misses = 0
-        stack: List[tuple] = [(f, g, key0)]
-        push = stack.append
-        while stack:
-            frame = stack.pop()
-            if len(frame) == 3:
-                a, b, key = frame
-                if key in cache:
-                    continue
-                ia = a >> 1
-                ib = b >> 1
-                la = level_[ia]
-                lb = level_[ib]
-                if la <= lb:
-                    lvl = la
-                    if a & 1:
-                        a0 = low_[ia] ^ 1
-                        a1 = high_[ia] ^ 1
-                    else:
-                        a0 = low_[ia]
-                        a1 = high_[ia]
-                    if la == lb:
-                        if b & 1:
-                            b0 = low_[ib] ^ 1
-                            b1 = high_[ib] ^ 1
-                        else:
-                            b0 = low_[ib]
-                            b1 = high_[ib]
-                    else:
-                        b0 = b1 = b
-                else:
-                    lvl = lb
-                    a0 = a1 = a
-                    if b & 1:
-                        b0 = low_[ib] ^ 1
-                        b1 = high_[ib] ^ 1
-                    else:
-                        b0 = low_[ib]
-                        b1 = high_[ib]
-                if a0 > b0:
-                    a0, b0 = b0, a0
-                if a0 == b0:
-                    lo: Optional[int] = a0
-                    lkey = 0
-                elif a0 < 2:
-                    lo = b0 if a0 else _FALSE
-                    lkey = 0
-                elif b0 == a0 ^ 1:
-                    lo = _FALSE
-                    lkey = 0
-                else:
-                    lkey = (a0 << _S) | b0
-                    lo = get(lkey)
-                    if lo is not None:
-                        hits += 1
-                if a1 > b1:
-                    a1, b1 = b1, a1
-                if a1 == b1:
-                    hi: Optional[int] = a1
-                    hkey = 0
-                elif a1 < 2:
-                    hi = b1 if a1 else _FALSE
-                    hkey = 0
-                elif b1 == a1 ^ 1:
-                    hi = _FALSE
-                    hkey = 0
-                else:
-                    hkey = (a1 << _S) | b1
-                    hi = get(hkey)
-                    if hi is not None:
-                        hits += 1
-                if lo is None or hi is None:
-                    push((key, lvl, lo, lkey, hi, hkey))
-                    if lo is None:
-                        push((a0, b0, lkey))
-                    if hi is None:
-                        push((a1, b1, hkey))
-                    continue
-            else:
-                key, lvl, lo, lkey, hi, hkey = frame
-                if lo is None:
-                    lo = cache[lkey]
-                if hi is None:
-                    hi = cache[hkey]
-            misses += 1
-            # Inlined _mk(lvl, lo, hi) — keep in sync with that method.
-            if lo == hi:
-                cache[key] = lo
-                continue
-            cc = hi & 1
-            if cc:
-                lo ^= 1
-                hi ^= 1
-            table = subtables_[lvl]
-            ukey = (lo << _S) | hi
-            idx = table.get(ukey)
-            if idx is None:
-                if free_:
-                    idx = free_.pop()
-                    level_[idx] = lvl
-                    low_[idx] = lo
-                    high_[idx] = hi
-                else:
-                    idx = len(level_)
-                    if idx == _MAX_INDEX:
-                        raise BDDError(
-                            f"unique table exceeded {_MAX_INDEX} nodes; "
-                            f"packed table keys would no longer be "
-                            f"collision-free")
-                    level_.append(lvl)
-                    low_.append(lo)
-                    high_.append(hi)
-                table[ukey] = idx
-            cache[key] = (idx << 1) | cc
-        stats[0] += hits
-        stats[1] += misses
-        stats[2] += misses
-        return cache[key0]
-
-    def _apply_and(self, f: int, g: int) -> int:
-        return self._and_kernel(f, g, self._stats_and)
-
-    def _apply_or(self, f: int, g: int) -> int:
-        # De Morgan onto the AND kernel: the complement flips are free,
-        # and dual-rail values (low rail == ~high rail) make the OR of
-        # one rail hit the exact cache entry the AND of the other rail
-        # created.
-        return self._and_kernel(f ^ 1, g ^ 1, self._stats_or) ^ 1
-
-    def _apply_xor(self, f: int, g: int) -> int:
-        # ~f ^ g == ~(f ^ g): strip both complement bits, operate on the
-        # regular ids, re-apply the combined parity to the result.
-        parity = (f ^ g) & 1
-        f &= -2
-        g &= -2
-        if f == g:
-            return parity
-        if f > g:
-            f, g = g, f
-        if f == _FALSE:
-            return g ^ parity
-        cache = self._xor_cache
-        key0 = (f << _S) | g
-        result = cache.get(key0)
-        if result is not None:
-            self._stats_xor[0] += 1
-            return result ^ parity
-        level_ = self._level
-        low_ = self._low
-        high_ = self._high
-        get = cache.get
-        mk = self._mk
-        hits = 0
-        misses = 0
-        stack: List[tuple] = [(f, g, key0)]
-        push = stack.append
-        while stack:
-            frame = stack.pop()
-            if len(frame) == 3:
-                a, b, key = frame
-                if key in cache:
-                    continue
-                ia = a >> 1
-                ib = b >> 1
-                la = level_[ia]
-                lb = level_[ib]
-                if la < lb:
-                    lvl = la
-                    a0 = low_[ia]
-                    a1 = high_[ia]
-                    b0 = b1 = b
-                elif lb < la:
-                    lvl = lb
-                    a0 = a1 = a
-                    b0 = low_[ib]
-                    b1 = high_[ib]
-                else:
-                    lvl = la
-                    a0 = low_[ia]
-                    a1 = high_[ia]
-                    b0 = low_[ib]
-                    b1 = high_[ib]
-                lp = (a0 ^ b0) & 1
-                a0 &= -2
-                b0 &= -2
-                if a0 > b0:
-                    a0, b0 = b0, a0
-                if a0 == b0:
-                    lo: Optional[int] = lp
-                    lkey = 0
-                elif a0 == _FALSE:
-                    lo = b0 ^ lp
-                    lkey = 0
-                else:
-                    lkey = (a0 << _S) | b0
-                    lo = get(lkey)
-                    if lo is not None:
-                        lo ^= lp
-                        hits += 1
-                hp = (a1 ^ b1) & 1
-                a1 &= -2
-                b1 &= -2
-                if a1 > b1:
-                    a1, b1 = b1, a1
-                if a1 == b1:
-                    hi: Optional[int] = hp
-                    hkey = 0
-                elif a1 == _FALSE:
-                    hi = b1 ^ hp
-                    hkey = 0
-                else:
-                    hkey = (a1 << _S) | b1
-                    hi = get(hkey)
-                    if hi is not None:
-                        hi ^= hp
-                        hits += 1
-                if lo is not None and hi is not None:
-                    cache[key] = mk(lvl, lo, hi)
-                    misses += 1
-                else:
-                    push((key, lvl, lo, lkey, lp, hi, hkey, hp))
-                    if lo is None:
-                        push((a0, b0, lkey))
-                    if hi is None:
-                        push((a1, b1, hkey))
-            else:
-                key, lvl, lo, lkey, lp, hi, hkey, hp = frame
-                if lo is None:
-                    lo = cache[lkey] ^ lp
-                if hi is None:
-                    hi = cache[hkey] ^ hp
-                cache[key] = mk(lvl, lo, hi)
-                misses += 1
-        stats = self._stats_xor
-        stats[0] += hits
-        stats[1] += misses
-        return cache[key0] ^ parity
-
     def _not(self, f: int) -> int:
         # Complement edges: negation is a tag flip, nothing to compute.
         return f ^ 1
 
     # ------------------------------------------------------------------
-    # ite: kept for genuine three-operand selects, normalised to the
-    # direct ops whenever an operand is constant, repeated or a
-    # complement of another.
+    # ite: genuine three-operand selects (normalised to the direct ops
+    # inside the kernel whenever an operand is constant, repeated or a
+    # complement of another).
     # ------------------------------------------------------------------
     def ite(self, f: Ref, g: Ref, h: Ref) -> Ref:
         """If-then-else: ``f & g | ~f & h`` computed canonically."""
         self._check(f, g, h)
         return Ref(self, self._ite(f.node, g.node, h.node))
-
-    def _ite(self, f: int, g: int, h: int) -> int:
-        if f == _TRUE:
-            return g
-        if f == _FALSE:
-            return h
-        if g == h:
-            return g
-        if f & 1:
-            # ite(~f, g, h) == ite(f, h, g): keep the select regular.
-            f ^= 1
-            g, h = h, g
-        if g == f:
-            g = _TRUE
-        elif g == f ^ 1:
-            g = _FALSE
-        if h == f:
-            h = _FALSE
-        elif h == f ^ 1:
-            h = _TRUE
-        if g == h:
-            return g
-        if g == _TRUE:
-            if h == _FALSE:
-                return f
-            return self._apply_or(f, h)
-        if g == _FALSE:
-            if h == _TRUE:
-                return f ^ 1
-            return self._apply_and(f ^ 1, h)
-        if h == _FALSE:
-            return self._apply_and(f, g)
-        if h == _TRUE:
-            return self._apply_or(f ^ 1, g)
-        # Canonical cache form: regular then-branch
-        # (ite(f, ~g, ~h) == ~ite(f, g, h)).
-        n = g & 1
-        if n:
-            g ^= 1
-            h ^= 1
-        key = (f << 60) | (g << _S) | h
-        cached = self._ite_cache.get(key)
-        if cached is not None:
-            self._stats_ite[0] += 1
-            return cached ^ n
-        level_ = self._level
-        level = level_[f >> 1]
-        lg = level_[g >> 1]
-        if lg < level:
-            level = lg
-        lh = level_[h >> 1]
-        if lh < level:
-            level = lh
-        f0, f1 = self._cof(f, level)
-        g0, g1 = self._cof(g, level)
-        h0, h1 = self._cof(h, level)
-        low = self._ite(f0, g0, h0)
-        high = self._ite(f1, g1, h1)
-        result = self._mk(level, low, high)
-        self._ite_cache[key] = result
-        self._stats_ite[1] += 1
-        return result ^ n
-
-    def _lvl(self, node: int) -> int:
-        return self._level[node >> 1]
-
-    def _cof(self, node: int, level: int) -> Tuple[int, int]:
-        """Cofactors of *node* w.r.t. the variable at *level*."""
-        idx = node >> 1
-        if self._level[idx] != level:
-            return node, node
-        c = node & 1
-        return self._low[idx] ^ c, self._high[idx] ^ c
 
     # ------------------------------------------------------------------
     # Public binary/unary operators
@@ -842,18 +408,15 @@ class BDDManager:
                cache: Dict[int, int], is_exists: bool) -> int:
         if node < 2:
             return node
-        idx = node >> 1
-        level = self._level[idx]
+        level, low, high = self._k.node(node >> 1)
         if level > max_level:
             return node
         cached = cache.get(node)
         if cached is not None:
             return cached
         c = node & 1
-        low = self._quant(self._low[idx] ^ c, levels, max_level, cache,
-                          is_exists)
-        high = self._quant(self._high[idx] ^ c, levels, max_level, cache,
-                           is_exists)
+        low = self._quant(low ^ c, levels, max_level, cache, is_exists)
+        high = self._quant(high ^ c, levels, max_level, cache, is_exists)
         if level in levels:
             if is_exists:
                 result = self._apply_or(low, high)
@@ -874,6 +437,7 @@ class BDDManager:
             return f
         values = {self.level_of(n): bool(v) for n, v in assignment.items()}
         cache: Dict[int, int] = {}
+        node_ = self._k.node
 
         def walk(node: int) -> int:
             if node < 2:
@@ -881,15 +445,12 @@ class BDDManager:
             cached = cache.get(node)
             if cached is not None:
                 return cached
-            idx = node >> 1
             c = node & 1
-            level = self._level[idx]
+            level, low, high = node_(node >> 1)
             if level in values:
-                child = self._high[idx] if values[level] else self._low[idx]
-                result = walk(child ^ c)
+                result = walk((high if values[level] else low) ^ c)
             else:
-                result = self._mk(level, walk(self._low[idx] ^ c),
-                                  walk(self._high[idx] ^ c))
+                result = self._mk(level, walk(low ^ c), walk(high ^ c))
             cache[node] = result
             return result
 
@@ -904,6 +465,7 @@ class BDDManager:
             return f
         subs = {self.level_of(n): g.node for n, g in substitution.items()}
         cache: Dict[int, int] = {}
+        node_ = self._k.node
 
         def walk(node: int) -> int:
             if node < 2:
@@ -911,11 +473,10 @@ class BDDManager:
             cached = cache.get(node)
             if cached is not None:
                 return cached
-            idx = node >> 1
             c = node & 1
-            level = self._level[idx]
-            low = walk(self._low[idx] ^ c)
-            high = walk(self._high[idx] ^ c)
+            level, low, high = node_(node >> 1)
+            low = walk(low ^ c)
+            high = walk(high ^ c)
             if level in subs:
                 result = self._ite(subs[level], high, low)
             else:
@@ -938,6 +499,7 @@ class BDDManager:
     def support(self, f: Ref) -> frozenset:
         """The set of variable names *f* depends on."""
         self._check(f)
+        node_ = self._k.node
         seen = set()
         levels = set()
         stack = [f.node >> 1]
@@ -946,9 +508,10 @@ class BDDManager:
             if idx == 0 or idx in seen:
                 continue
             seen.add(idx)
-            levels.add(self._level[idx])
-            stack.append(self._low[idx] >> 1)
-            stack.append(self._high[idx] >> 1)
+            level, low, high = node_(idx)
+            levels.add(level)
+            stack.append(low >> 1)
+            stack.append(high >> 1)
         return frozenset(self._var_names[lvl] for lvl in levels)
 
     def size(self, f: Ref) -> int:
@@ -957,6 +520,7 @@ class BDDManager:
         node count a plain (complement-free) ROBDD of the same function
         would have, so size comparisons stay meaningful across kernels."""
         self._check(f)
+        node_ = self._k.node
         seen = set()
         stack = [f.node]
         while stack:
@@ -964,25 +528,25 @@ class BDDManager:
             if node < 2 or node in seen:
                 continue
             seen.add(node)
-            idx = node >> 1
             c = node & 1
-            stack.append(self._low[idx] ^ c)
-            stack.append(self._high[idx] ^ c)
+            _, low, high = node_(node >> 1)
+            stack.append(low ^ c)
+            stack.append(high ^ c)
         return len(seen)
 
     def eval(self, f: Ref, assignment: Mapping[str, bool]) -> bool:
         """Evaluate *f* under a total (w.r.t. its support) assignment."""
         self._check(f)
+        node_ = self._k.node
         node = f.node
         while node >= 2:
-            idx = node >> 1
-            name = self._var_names[self._level[idx]]
+            level, low, high = node_(node >> 1)
+            name = self._var_names[level]
             try:
                 value = assignment[name]
             except KeyError:
                 raise BDDError(f"assignment missing variable {name!r}") from None
-            child = self._high[idx] if value else self._low[idx]
-            node = child ^ (node & 1)
+            node = (high if value else low) ^ (node & 1)
         return node == _TRUE
 
     # ------------------------------------------------------------------
@@ -993,19 +557,20 @@ class BDDManager:
         self._check(f)
         if f.node == _FALSE:
             return None
+        node_ = self._k.node
         assignment: Dict[str, bool] = {}
         node = f.node
         while node != _TRUE:
-            idx = node >> 1
             c = node & 1
-            name = self._var_names[self._level[idx]]
-            low = self._low[idx] ^ c
+            level, low, high = node_(node >> 1)
+            name = self._var_names[level]
+            low ^= c
             if low != _FALSE:
                 assignment[name] = False
                 node = low
             else:
                 assignment[name] = True
-                node = self._high[idx] ^ c
+                node = high ^ c
         return assignment
 
     def sat_all(self, f: Ref, names: Optional[Sequence[str]] = None
@@ -1017,6 +582,7 @@ class BDDManager:
             names = sorted(self.support(f), key=self.level_of)
         names = list(names)
         name_set = set(names)
+        node_ = self._k.node
 
         def rec(node: int, pending: List[str]) -> Iterator[Dict[str, bool]]:
             if node == _FALSE:
@@ -1025,16 +591,15 @@ class BDDManager:
                 for bits in itertools.product((False, True), repeat=len(pending)):
                     yield dict(zip(pending, bits))
                 return
-            idx = node >> 1
             c = node & 1
-            name = self._var_names[self._level[idx]]
+            level, low, high = node_(node >> 1)
+            name = self._var_names[level]
             if name not in name_set:
                 raise BDDError(
                     f"sat_all: function depends on {name!r} which is not in names")
             i = pending.index(name)
             before, after = pending[:i], pending[i + 1:]
-            for branch, value in ((self._low[idx] ^ c, False),
-                                  (self._high[idx] ^ c, True)):
+            for branch, value in ((low ^ c, False), (high ^ c, True)):
                 for head in itertools.product((False, True), repeat=len(before)):
                     prefix = dict(zip(before, head))
                     prefix[name] = value
@@ -1057,11 +622,12 @@ class BDDManager:
         levels = sorted(self.level_of(n) for n in support)
         rank = {lvl: i for i, lvl in enumerate(levels)}
         nlevels = len(levels)
+        node_ = self._k.node
 
         def level_rank(node: int) -> int:
             if node < 2:
                 return nlevels
-            return rank[self._level[node >> 1]]
+            return rank[node_(node >> 1)[0]]
 
         cache: Dict[int, int] = {}
 
@@ -1074,11 +640,11 @@ class BDDManager:
             cached = cache.get(node)
             if cached is not None:
                 return cached
-            idx = node >> 1
             c = node & 1
-            base = rank[self._level[idx]]
+            level, low, high = node_(node >> 1)
+            base = rank[level]
             result = 0
-            for child in (self._low[idx] ^ c, self._high[idx] ^ c):
+            for child in (low ^ c, high ^ c):
                 sub = count(child)
                 gap = level_rank(child) - base - 1
                 result += sub << gap
@@ -1123,102 +689,53 @@ class BDDManager:
         """Mark-and-sweep the unique table.
 
         Marks from *roots* (Refs or raw ids) plus :meth:`live_roots`,
-        sweeps unmarked nodes out of the per-level subtables onto the
-        free list, and drops computed-table entries touching a swept id
-        (surviving entries are kept — they are still true facts about
-        live nodes).  Must only be called at a *safe point*: no
-        operation in progress, no raw node ids held outside Refs or
-        registered providers.  Returns ``{"live", "freed", "live_before"}``.
+        sweeps unmarked nodes onto the free list, and drops
+        computed-table entries touching a swept id (surviving entries
+        are kept — they are still true facts about live nodes).  Must
+        only be called at a *safe point*: no operation in progress, no
+        raw node ids held outside Refs or registered providers.  Returns
+        ``{"live", "freed", "live_before"}``.
         """
-        level_ = self._level
-        low_ = self._low
-        high_ = self._high
-        marked = bytearray(len(level_))
-        marked[0] = 1
-        stack: List[int] = []
-        for r in roots:
-            stack.append(r.node if isinstance(r, Ref) else int(r))
-        stack.extend(self.live_roots())
-        while stack:
-            idx = stack.pop() >> 1
-            if marked[idx]:
-                continue
-            marked[idx] = 1
-            stack.append(low_[idx])
-            stack.append(high_[idx])
-        free = self._free
-        freed = 0
-        for table in self._subtables:
-            dead = [key for key, idx in table.items() if not marked[idx]]
-            for key in dead:
-                idx = table.pop(key)
-                level_[idx] = -1
-                free.append(idx)
-            freed += len(dead)
-        live_before = len(level_) - len(free) + freed
+        ids = [r.node if isinstance(r, Ref) else int(r) for r in roots]
+        ids.extend(self.live_roots())
+        live_before = self._k.num_nodes()
+        # Computed-table entries whose operands and result all survive
+        # are kept (wiping the tables was measured to double a
+        # session's miss count; the cross-property sharing lives in
+        # exactly these entries).  Entries touching a swept id go: its
+        # index is about to be recycled.  Consumers of the *tape view*
+        # (the SAT encoder, fingerprint memos) still rebuild via the
+        # epochs below, because recycled ids invalidate their
+        # accumulated id-keyed state.
+        freed = self._k.collect(ids)
         if live_before > self._peak_nodes:
             self._peak_nodes = live_before
         live_after = live_before - freed
-        # Computed-table entries whose operands and result all survived
-        # are still true facts about live nodes — keep them (wiping the
-        # tables was measured to double a session's miss count; the
-        # cross-property sharing lives in exactly these entries).
-        # Entries touching a swept id must go: its index is about to be
-        # recycled.  Consumers of the *tape view* (the SAT encoder,
-        # fingerprint memos) still rebuild via the epochs below, because
-        # recycled ids invalidate their accumulated id-keyed state.
-        mask = (1 << _S) - 1
-        self._and_cache = {
-            key: r for key, r in self._and_cache.items()
-            if marked[(key >> _S) >> 1] and marked[(key & mask) >> 1]
-            and marked[r >> 1]}
-        self._xor_cache = {
-            key: r for key, r in self._xor_cache.items()
-            if marked[(key >> _S) >> 1] and marked[(key & mask) >> 1]
-            and marked[r >> 1]}
-        self._ite_cache = {
-            key: r for key, r in self._ite_cache.items()
-            if marked[(key >> 60) >> 1] and marked[((key >> _S) & mask) >> 1]
-            and marked[(key & mask) >> 1] and marked[r >> 1]}
-        # Surviving shared-table entries are re-attributed to "and"
-        # (the shared table cannot tell which op created them).
-        self._stats_and[2] = len(self._and_cache)
-        self._stats_or[2] = 0
         self._cache_epoch += 1
         self._gc_epoch += 1
         self._collections += 1
         self._reclaimed += freed
         self._gc_live_floor = live_after
-        self._reorder_live_floor = live_after
         return {"live": live_after, "freed": freed,
                 "live_before": live_before}
 
     def maybe_collect(self) -> Optional[Dict[str, int]]:
-        """The GC/reordering safe-point hook.
+        """The GC safe-point hook.
 
         Call between logical operations (the check session calls it
         after every property verdict).  Collects only when the live
-        count crossed the adaptive limit (max of
-        :attr:`gc_threshold` and twice the post-sweep live count of the
-        previous collection), then runs a bounded sifting pass if it
-        also crossed the reorder limit — cheap (two length reads and
-        two compares) otherwise.  The triggers live here, not in
-        ``_mk``, to keep per-allocation bookkeeping off the hot path."""
-        live = len(self._level) - len(self._free)
+        count crossed the adaptive limit (max of :attr:`gc_threshold`
+        and twice the post-sweep live count of the previous
+        collection) — cheap (one count read and two compares)
+        otherwise.  The trigger lives here, not in node creation, to
+        keep per-allocation bookkeeping off the hot path."""
+        live = self._k.num_nodes()
         if live > self._peak_nodes:
             self._peak_nodes = live
-        out = None
         if (self.auto_gc and live >= self.gc_threshold
                 and live >= 2 * self._gc_live_floor):
-            out = self.collect()
-            live = out["live"]
-        if (self.auto_reorder and live >= self.reorder_threshold
-                and live >= 2 * self._reorder_live_floor):
-            from .reorder import sift
-            sift(self)
-            self._reorder_live_floor = (len(self._level)
-                                        - len(self._free))
-        return out
+            return self.collect()
+        return None
 
     @property
     def gc_epoch(self) -> int:
@@ -1227,111 +744,12 @@ class BDDManager:
         construction tape, fingerprint memos) must be rebuilt."""
         return self._gc_epoch
 
-    @property
-    def reorder_count(self) -> int:
-        """Total adjacent-level swaps performed (dynamic sifting).  A
-        swap preserves every id's *function* but not its structure, so
-        structural digests must be invalidated when this moves."""
-        return self._reorder_count
-
-    # ------------------------------------------------------------------
-    # Dynamic reordering primitive
-    # ------------------------------------------------------------------
-    def _swap_adjacent(self, i: int) -> int:
-        """Swap the variables at levels *i* and *i+1* in place
-        (Rudell's swap, the primitive under :func:`repro.bdd.reorder.sift`).
-
-        Every node index keeps its *function*: nodes at level *i* that
-        depend on both variables are rewritten in place around fresh
-        (or shared) nodes at the new lower level, everything else is
-        relabelled.  Outstanding ids, computed-table entries and
-        construction-tape entries therefore stay semantically valid;
-        displaced now-unreferenced nodes are left for the next
-        :meth:`collect`.  Returns the net live-node delta."""
-        if not 0 <= i < len(self._subtables) - 1:
-            raise BDDError(f"no adjacent level pair at {i}")
-        level_ = self._level
-        low_ = self._low
-        high_ = self._high
-        li1 = i + 1
-        upper = self._subtables[i]
-        lower = self._subtables[li1]
-        # Phase 1: classify level-i nodes against the OLD levels and
-        # capture the (u,v) cofactor quadruples before anything moves.
-        dependent: List[Tuple[int, int, int, int, int]] = []
-        independent: List[Tuple[int, int]] = []
-        for key, idx in upper.items():
-            f0 = low_[idx]
-            f1 = high_[idx]
-            i0 = f0 >> 1
-            i1 = f1 >> 1
-            dep = False
-            if level_[i0] == li1:
-                c = f0 & 1
-                f00 = low_[i0] ^ c
-                f01 = high_[i0] ^ c
-                dep = True
-            else:
-                f00 = f01 = f0
-            if level_[i1] == li1:
-                # The stored high edge is regular, so no bit to push.
-                f10 = low_[i1]
-                f11 = high_[i1]
-                dep = True
-            else:
-                f10 = f11 = f1
-            if dep:
-                dependent.append((idx, f00, f01, f10, f11))
-            else:
-                independent.append((key, idx))
-        # Phase 2: rebuild the two subtables — old lower-level nodes
-        # rise wholesale, independent upper-level nodes sink wholesale.
-        new_upper: Dict[int, int] = {}
-        new_lower: Dict[int, int] = {}
-        for key, idx in lower.items():
-            level_[idx] = i
-            new_upper[key] = idx
-        for key, idx in independent:
-            level_[idx] = li1
-            new_lower[key] = idx
-        self._subtables[i] = new_upper
-        self._subtables[li1] = new_lower
-        # Phase 3: rewrite dependent nodes in place.  The new children
-        # allocate (or share) through the normal _mk path against the
-        # rebuilt lower subtable.  The new high edge is provably regular
-        # (f11 comes off a stored regular high chain) and distinct from
-        # the new low edge (the node genuinely depends on both vars),
-        # so the in-place store keeps the canonical-form invariants.
-        before = len(level_) - len(self._free)
-        mk = self._mk
-        for idx, f00, f01, f10, f11 in dependent:
-            newlo = mk(li1, f00, f10)
-            newhi = mk(li1, f01, f11)
-            key = (newlo << _S) | newhi
-            if newhi & 1 or key in new_upper:
-                raise BDDError("canonical-form violation during level swap")
-            level_[idx] = i
-            low_[idx] = newlo
-            high_[idx] = newhi
-            new_upper[key] = idx
-        # Phase 4: variable bookkeeping.
-        names = self._var_names
-        names[i], names[li1] = names[li1], names[i]
-        self._name_to_level[names[i]] = i
-        self._name_to_level[names[li1]] = li1
-        self._reorder_count += 1
-        return len(level_) - len(self._free) - before
-
     # ------------------------------------------------------------------
     # Cache maintenance / statistics
     # ------------------------------------------------------------------
     def clear_caches(self) -> None:
         """Drop operation caches (unique table is kept: canonicity)."""
-        self._and_cache.clear()
-        self._xor_cache.clear()
-        self._ite_cache.clear()
-        self._stats_and[2] = 0
-        self._stats_or[2] = 0
+        self._k.clear_caches()
         self._cache_epoch += 1
 
     @property
@@ -1351,35 +769,31 @@ class BDDManager:
         entries (AND and OR share one physical table; NOT is a
         complement-edge bit flip, so its row is permanently zero —
         kept for schema stability)."""
-        sa = self._stats_and
-        so = self._stats_or
-        sx = self._stats_xor
-        si = self._stats_ite
+        (and_h, and_m, and_e, or_h, or_m, or_e, xor_h, xor_m, ite_h,
+         ite_m) = self._k.stats()
+        _, xor_n, ite_n = self._k.computed_sizes()
         return {
-            "and": {"hits": sa[0], "misses": sa[1], "entries": sa[2]},
-            "or": {"hits": so[0], "misses": so[1], "entries": so[2]},
-            "xor": {"hits": sx[0], "misses": sx[1],
-                    "entries": len(self._xor_cache)},
+            "and": {"hits": and_h, "misses": and_m, "entries": and_e},
+            "or": {"hits": or_h, "misses": or_m, "entries": or_e},
+            "xor": {"hits": xor_h, "misses": xor_m, "entries": xor_n},
             "not": {"hits": 0, "misses": 0, "entries": 0},
-            "ite": {"hits": si[0], "misses": si[1],
-                    "entries": len(self._ite_cache)},
+            "ite": {"hits": ite_h, "misses": ite_m, "entries": ite_n},
         }
 
     def stats(self) -> Dict[str, int]:
-        cache_hits = (self._stats_and[0] + self._stats_or[0]
-                      + self._stats_xor[0] + self._stats_ite[0])
-        cache_misses = (self._stats_and[1] + self._stats_or[1]
-                        + self._stats_xor[1] + self._stats_ite[1])
-        nodes = len(self._level) - len(self._free)
+        (and_h, and_m, _, or_h, or_m, _, xor_h, xor_m, ite_h,
+         ite_m) = self._k.stats()
+        and_n, xor_n, ite_n = self._k.computed_sizes()
+        nodes = self._k.num_nodes()
         if nodes > self._peak_nodes:
             self._peak_nodes = nodes
         return {
             "nodes": nodes,
             "vars": len(self._var_names),
-            "ite_cache": len(self._ite_cache),
-            "apply_cache": len(self._and_cache) + len(self._xor_cache),
-            "cache_hits": cache_hits,
-            "cache_misses": cache_misses,
+            "ite_cache": ite_n,
+            "apply_cache": and_n + xor_n,
+            "cache_hits": and_h + or_h + xor_h + ite_h,
+            "cache_misses": and_m + or_m + xor_m + ite_m,
             "peak_nodes": self._peak_nodes,
             "gc_runs": self._collections,
             "gc_reclaimed": self._reclaimed,

@@ -1,10 +1,10 @@
 """Node-level inspection utilities for the ROBDD manager.
 
-The manager stores nodes as parallel arrays for speed; these helpers
-give tests and debugging tools a structured view without exposing the
-raw arrays: walk a function's DAG, export it as DOT for visualisation,
-and compute per-level profiles (the quantity dynamic-reordering
-heuristics optimise).
+The manager's kernel stores nodes in flat arrays for speed; these
+helpers give tests and debugging tools a structured view through
+:meth:`~repro.bdd.manager.BDDManager.node_triple`: walk a function's
+DAG, export it as DOT for visualisation, and compute per-level profiles
+(the quantity variable-ordering heuristics optimise).
 """
 
 from __future__ import annotations
@@ -33,11 +33,8 @@ def iter_nodes(ref: Ref) -> Iterator[Tuple[int, str, int, int]]:
         if node < 2 or node in seen:
             continue
         seen.add(node)
-        idx = node >> 1
-        c = node & 1
-        low = mgr._low[idx] ^ c
-        high = mgr._high[idx] ^ c
-        yield (node, mgr._var_names[mgr._level[idx]], low, high)
+        name, low, high = mgr.node_triple(node)
+        yield (node, name, low, high)
         stack.append(low)
         stack.append(high)
 

@@ -1,4 +1,4 @@
-"""Variable ordering: static heuristics plus dynamic sifting.
+"""Variable ordering: static heuristics.
 
 Variable order is the dominant factor in BDD size.  The STE literature the
 paper builds on (Seger & Bryant; Pandey et al.'s symbolic indexing work)
@@ -18,23 +18,21 @@ The entry points:
   :func:`order_for_memory` layout), which is how the benchmark harness
   drives large-memory runs;
 * :func:`apply_order` — install an order on a fresh manager;
-* :func:`interleave` / :func:`order_for_memory` — the building blocks;
-* :func:`sift` — **dynamic sifting** (Rudell): move the widest
-  variables through a window of adjacent-level swaps
-  (:meth:`BDDManager._swap_adjacent`) and pin each at its best
-  position.  The static order is the starting point; sifting is the
-  escape hatch the manager's growth trigger
-  (:meth:`BDDManager.maybe_collect`) pulls when a session outgrows it.
+* :func:`interleave` / :func:`order_for_memory` — the building blocks.
+
+The order is fixed once declared: the netlist-derived static orders are
+near-optimal for this workload, so the manager does no dynamic
+reordering.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from .manager import BDDManager
 
 __all__ = ["interleave", "order_for_memory", "recommend_order",
-           "apply_order", "sift"]
+           "apply_order"]
 
 
 def interleave(*groups: Sequence[str]) -> List[str]:
@@ -86,8 +84,7 @@ def recommend_order(groups: Sequence[Sequence[str]] = (), *,
                     cell_prefix: str = "", depth: int = 0) -> List[str]:
     """Compose a full static order: interleaved *groups* first, then the
     :func:`order_for_memory` layout for the named memory, duplicates
-    dropped.  The result feeds :func:`apply_order` on a fresh manager
-    and doubles as the starting order dynamic sifting refines."""
+    dropped.  The result feeds :func:`apply_order` on a fresh manager."""
     order: List[str] = []
     seen = set()
     for name in interleave(*groups) + order_for_memory(
@@ -107,86 +104,3 @@ def apply_order(mgr: BDDManager, names: Iterable[str]) -> None:
     """
     mgr.declare_all(names)
 
-
-def _live_size(mgr: BDDManager, root_ids: Sequence[int],
-               per_level: Optional[List[int]] = None) -> int:
-    """Live internal nodes reachable from *root_ids* (the sifting
-    objective — subtable sizes would count the garbage swaps strand)."""
-    marked = bytearray(len(mgr._level))
-    marked[0] = 1
-    low_ = mgr._low
-    high_ = mgr._high
-    stack = [n >> 1 for n in root_ids]
-    count = 0
-    while stack:
-        idx = stack.pop()
-        if marked[idx]:
-            continue
-        marked[idx] = 1
-        count += 1
-        if per_level is not None:
-            per_level[mgr._level[idx]] += 1
-        stack.append(low_[idx] >> 1)
-        stack.append(high_[idx] >> 1)
-    return count
-
-
-def sift(mgr: BDDManager, *, max_vars: int = 4, radius: int = 8,
-         roots: Optional[Sequence[int]] = None) -> int:
-    """One bounded pass of Rudell's sifting over the live graph.
-
-    Picks the *max_vars* widest variables (live nodes per level), moves
-    each through up to *radius* adjacent-level swaps in both directions,
-    and leaves it at the position with the smallest live graph.  A walk
-    direction is abandoned early once the graph grows past 1.2x the
-    running best (the classic growth cut-off).  Ends with a
-    :meth:`BDDManager.collect` to reclaim the nodes the swaps stranded.
-    Returns the net change in live node count (negative = shrunk).
-    """
-    if roots is None:
-        root_ids = mgr.live_roots()
-    else:
-        root_ids = list(roots)
-    nlevels = len(mgr._var_names)
-    if nlevels < 2:
-        return 0
-    per_level = [0] * nlevels
-    initial = _live_size(mgr, root_ids, per_level)
-    widest = sorted(range(nlevels), key=lambda lvl: per_level[lvl],
-                    reverse=True)[:max_vars]
-    names = [mgr._var_names[lvl] for lvl in widest if per_level[lvl]]
-    for name in names:
-        start = mgr._name_to_level[name]
-        best_size = _live_size(mgr, root_ids)
-        best_pos = start
-        # Walk down, then back up past the start, recording the live
-        # size at each visited position.
-        pos = start
-        limit = best_size
-        while pos < nlevels - 1 and pos < start + radius:
-            mgr._swap_adjacent(pos)
-            pos += 1
-            size = _live_size(mgr, root_ids)
-            if size < best_size:
-                best_size = size
-                best_pos = pos
-            if size > limit * 1.2:
-                break
-        while pos > 0 and pos > start - radius:
-            mgr._swap_adjacent(pos - 1)
-            pos -= 1
-            if pos < start:
-                size = _live_size(mgr, root_ids)
-                if size < best_size:
-                    best_size = size
-                    best_pos = pos
-                if size > limit * 1.2:
-                    break
-        while pos < best_pos:
-            mgr._swap_adjacent(pos)
-            pos += 1
-        while pos > best_pos:
-            mgr._swap_adjacent(pos - 1)
-            pos -= 1
-    mgr.collect(root_ids)
-    return _live_size(mgr, root_ids) - initial

@@ -67,11 +67,10 @@ def combine(*fingerprints: str) -> str:
 # ----------------------------------------------------------------------
 def _bdd_memo(mgr: BDDManager) -> Dict[int, str]:
     # Per-node digests memoise on the manager, but node ids are only
-    # stable between garbage collections (indices are recycled) and
-    # digests only stable between reorders (a level swap changes the
-    # structure behind an id) — so the memo is stamped with both epochs
-    # and rebuilt from scratch when either moves.
-    epoch = (getattr(mgr, "gc_epoch", 0), getattr(mgr, "reorder_count", 0))
+    # stable between garbage collections (indices are recycled) — so
+    # the memo is stamped with the GC epoch and rebuilt from scratch
+    # when it moves.
+    epoch = getattr(mgr, "gc_epoch", 0)
     cached = mgr.__dict__.get("_fingerprint_memo")
     if cached is not None and cached[0] == epoch:
         return cached[1]

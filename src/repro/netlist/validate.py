@@ -27,6 +27,7 @@ the worklist :func:`input_cone`.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Set
 
 from .circuit import Circuit, NetlistError
@@ -35,14 +36,27 @@ __all__ = ["check_circuit", "combinational_order", "fanout_index",
            "input_cone", "require_valid"]
 
 
+#: Circuit -> its content fingerprint when it last passed validation.
+_validated: "weakref.WeakKeyDictionary[Circuit, str]" = \
+    weakref.WeakKeyDictionary()
+
+
 def require_valid(circuit: Circuit) -> None:
     """Raise :class:`NetlistError` with the full issue list if
     *circuit* fails :func:`check_circuit` — the shared gate used by the
-    FSM compiler and the STE check session."""
+    FSM compiler and the STE check session.
+
+    A circuit that passed and has not been edited since (its content
+    fingerprint is unchanged) is not checked again, so a run of
+    one-shot checks over one circuit lints it once."""
+    fingerprint = circuit.fingerprint(include_outputs=True)
+    if _validated.get(circuit) == fingerprint:
+        return
     issues = check_circuit(circuit)
     if issues:
         raise NetlistError(
             "circuit failed validation:\n  " + "\n  ".join(issues))
+    _validated[circuit] = fingerprint
 
 
 def fanout_index(circuit: Circuit) -> Dict[str, List[str]]:

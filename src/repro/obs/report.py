@@ -14,7 +14,9 @@ Now there is exactly one line format per concept:
   carries them, a ``[cached]`` tag when it was cache-served.
 * :func:`render_summary` — the one-line session roll-up
   (``SessionReport.summary()`` delegates here, so the serial and
-  multiprocess paths cannot diverge again).
+  multiprocess paths cannot diverge again).  It and the timing table
+  name the BDD kernel that ran (``bdd_kernel=native|python``), so a
+  slow run on a host without a C compiler explains itself.
 * :func:`render_cache_line` — the CLI's persistent-cache line.
 * :func:`timing_table` — the per-property timing breakdown behind the
   CLI's ``--profile``.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from ..bdd import KERNEL
 from .metrics import merge_metrics
 
 __all__ = ["render_result", "render_summary", "render_cache_line",
@@ -75,7 +78,8 @@ def render_summary(report: Any) -> str:
             f"(+{report.model_reuses} reused) "
             f"bdd_nodes={report.bdd_stats.get('nodes', 0)} "
             f"cache_hit_rate={rate:.1f}% "
-            f"time={report.elapsed_seconds:.3f}s")
+            f"time={report.elapsed_seconds:.3f}s "
+            f"bdd_kernel={KERNEL}")
     if report.jobs > 1:
         line += f" jobs={report.jobs}"
     if report.cache_hits or report.cache_misses:
@@ -140,7 +144,7 @@ def timing_table(report: Any) -> str:
                      f"{cone:>6} {depth:>5} {points:>6} "
                      f"{secs:>8.3f}s {100.0 * secs / total:>5.1f}%")
     lines.append(f"{'total':<{width}} {'':<9} {'':<5} {'':>6} {'':>5} "
-                 f"{'':>6} {total:>8.3f}s {'':>6}")
+                 f"{'':>6} {total:>8.3f}s {'':>6} bdd_kernel={KERNEL}")
     return "\n".join(lines)
 
 

@@ -214,6 +214,7 @@ def check_compiled(compiled: CompiledModel,
     # a single wide property can otherwise triple the unique table.
     maybe_collect = getattr(mgr, "maybe_collect", None)
     needed = set(c_seq) if slim_trajectory else None
+    plan = compiled.plan(a_seq.values())
 
     # Defining trajectory (Defn 3), tracking antecedent consistency at
     # every constrained point (the only places ⊤ can originate).
@@ -224,7 +225,8 @@ def check_compiled(compiled: CompiledModel,
         for t in range(depth):
             if abort is not None and abort():
                 raise EngineAborted(f"STE aborted at frame {t}/{depth}")
-            state = compiled.step(prev, a_seq.get(t, {}), abort=abort)
+            state = compiled.step(prev, a_seq.get(t, {}), abort=abort,
+                                  plan=plan)
             for node in a_seq.get(t, {}):
                 antecedent_ok = antecedent_ok & state[node].is_consistent()
             trajectory.append(state)

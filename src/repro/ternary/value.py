@@ -90,12 +90,13 @@ class TernaryValue:
     # ------------------------------------------------------------------
     # Lattice structure
     #
-    # Everything below talks to the manager's int-level apply kernels
-    # (`_apply_and` / `_apply_or` / `_not`) on raw node ids instead of
-    # going through Ref operators: dual-rail stepping performs a handful
-    # of BDD ops per gate per time step, and skipping the per-op Ref
-    # wrapper plus manager check roughly halves the interpreter overhead
-    # of the trajectory computation.
+    # Everything below calls the kernel's int-level entry points
+    # (`mgr._apply_and` / `_apply_or` / `_apply_xor` are the kernel's
+    # own bound methods) on raw node ids instead of going through Ref
+    # operators: dual-rail stepping performs a handful of BDD ops per
+    # gate per time step, and with no Ref wrapper, manager check or
+    # Python frame between the gate and the kernel, the native kernel's
+    # apply loops run straight from here.
     # ------------------------------------------------------------------
     def join(self, other: "TernaryValue") -> "TernaryValue":
         """Least upper bound in the information order (⊔)."""

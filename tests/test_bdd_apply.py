@@ -23,7 +23,7 @@ hypothesis = pytest.importorskip(
     "hypothesis", reason="property-based differential tests need hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd import BDDManager, Ref
+from repro.bdd import Ref
 
 NAMES = ["a", "b", "c", "d", "e"]
 
@@ -72,8 +72,8 @@ def _assignments():
 class TestSemanticDifferential:
     @settings(max_examples=150, deadline=None)
     @given(formulas, formulas)
-    def test_binary_ops_agree_with_python(self, lhs, rhs):
-        mgr = BDDManager()
+    def test_binary_ops_agree_with_python(self, new_manager, lhs, rhs):
+        mgr = new_manager()
         mgr.declare_all(NAMES)
         build_l, eval_l = lhs
         build_r, eval_r = rhs
@@ -91,14 +91,14 @@ class TestSemanticDifferential:
 
     @settings(max_examples=100, deadline=None)
     @given(formulas, formulas)
-    def test_apply_matches_ite_derivation(self, lhs, rhs):
+    def test_apply_matches_ite_derivation(self, new_manager, lhs, rhs):
         """The seed's ite-derived operator definitions must still hold
         node-for-node.  (The xor identity exercises the recursive
         Shannon path of `ite` whenever ``~g``/``g`` are non-constant,
         cross-validating the apply loops against the independent
         expansion; the genuinely independent semantic check is
         `test_binary_ops_agree_with_python`.)"""
-        mgr = BDDManager()
+        mgr = new_manager()
         mgr.declare_all(NAMES)
         f = lhs[0](mgr)
         g = rhs[0](mgr)
@@ -109,8 +109,8 @@ class TestSemanticDifferential:
 
     @settings(max_examples=100, deadline=None)
     @given(formulas, formulas)
-    def test_commutativity_and_involution(self, lhs, rhs):
-        mgr = BDDManager()
+    def test_commutativity_and_involution(self, new_manager, lhs, rhs):
+        mgr = new_manager()
         mgr.declare_all(NAMES)
         f = lhs[0](mgr)
         g = rhs[0](mgr)
@@ -123,8 +123,8 @@ class TestSemanticDifferential:
 class TestIteNormalisation:
     @settings(max_examples=100, deadline=None)
     @given(formulas, formulas, formulas)
-    def test_ite_semantics(self, cond, then, else_):
-        mgr = BDDManager()
+    def test_ite_semantics(self, new_manager, cond, then, else_):
+        mgr = new_manager()
         mgr.declare_all(NAMES)
         build_f, eval_f = cond
         build_g, eval_g = then
@@ -142,8 +142,8 @@ class TestCacheStatistics:
         a, b, c, d = (mgr.var(n) for n in "abcd")
         return (a & b) | (c ^ d), (b | c) & ~a
 
-    def test_repeating_an_op_hits_the_cache(self, ):
-        mgr = BDDManager()
+    def test_repeating_an_op_hits_the_cache(self, new_manager):
+        mgr = new_manager()
         f, g = self._busy_refs(mgr)
         first = mgr.cache_stats()["and"]
         r1 = f & g
@@ -156,8 +156,8 @@ class TestCacheStatistics:
         assert after_hit["misses"] == after_miss["misses"]
         assert after_hit["entries"] == after_miss["entries"]
 
-    def test_commutative_calls_share_one_entry(self):
-        mgr = BDDManager()
+    def test_commutative_calls_share_one_entry(self, new_manager):
+        mgr = new_manager()
         f, g = self._busy_refs(mgr)
         _ = f & g
         entries = mgr.cache_stats()["and"]["entries"]
@@ -165,8 +165,8 @@ class TestCacheStatistics:
         assert mgr.cache_stats()["and"]["entries"] == entries
         assert mgr.cache_stats()["and"]["hits"] >= 1
 
-    def test_all_ops_report_stats(self):
-        mgr = BDDManager()
+    def test_all_ops_report_stats(self, new_manager):
+        mgr = new_manager()
         f, g = self._busy_refs(mgr)
         _ = (f & g) | (f ^ g)
         _ = ~(f | g)
@@ -179,8 +179,8 @@ class TestCacheStatistics:
         assert stats["and"]["misses"] > 0
         assert stats["or"]["misses"] > 0
 
-    def test_clear_caches_keeps_counters_and_semantics(self):
-        mgr = BDDManager()
+    def test_clear_caches_keeps_counters_and_semantics(self, new_manager):
+        mgr = new_manager()
         f, g = self._busy_refs(mgr)
         before = f & g
         misses = mgr.cache_stats()["and"]["misses"]
@@ -189,8 +189,8 @@ class TestCacheStatistics:
         assert mgr.cache_stats()["and"]["misses"] == misses
         assert (f & g) == before
 
-    def test_manager_stats_aggregate_cache_counters(self):
-        mgr = BDDManager()
+    def test_manager_stats_aggregate_cache_counters(self, new_manager):
+        mgr = new_manager()
         f, g = self._busy_refs(mgr)
         _ = f & g
         _ = f & g
@@ -212,8 +212,8 @@ class TestComplementEdges:
 
     @settings(max_examples=150, deadline=None)
     @given(formulas)
-    def test_negation_is_a_tag_not_a_traversal(self, lhs):
-        mgr = BDDManager()
+    def test_negation_is_a_tag_not_a_traversal(self, new_manager, lhs):
+        mgr = new_manager()
         mgr.declare_all(NAMES)
         build, evaluate = lhs
         f = build(mgr)
@@ -228,8 +228,8 @@ class TestComplementEdges:
 
     @settings(max_examples=100, deadline=None)
     @given(formulas)
-    def test_function_and_complement_share_all_nodes(self, lhs):
-        mgr = BDDManager()
+    def test_function_and_complement_share_all_nodes(self, new_manager, lhs):
+        mgr = new_manager()
         mgr.declare_all(NAMES)
         f = lhs[0](mgr)
         assert mgr.size(f) == mgr.size(~f)
@@ -239,10 +239,10 @@ class TestComplementEdges:
 
     @settings(max_examples=100, deadline=None)
     @given(formulas, formulas)
-    def test_de_morgan_is_the_same_table_entry(self, lhs, rhs):
+    def test_de_morgan_is_the_same_table_entry(self, new_manager, lhs, rhs):
         """OR is AND through De Morgan on tagged edges, so the two
         sides are the *identical* id, not just equivalent functions."""
-        mgr = BDDManager()
+        mgr = new_manager()
         mgr.declare_all(NAMES)
         f = lhs[0](mgr)
         g = rhs[0](mgr)
@@ -253,14 +253,15 @@ class TestComplementEdges:
 
     @settings(max_examples=100, deadline=None)
     @given(formulas)
-    def test_canonical_form_high_edges_regular(self, lhs):
+    def test_canonical_form_high_edges_regular(self, new_manager, lhs):
         """The unique-table invariant behind all of the above: a stored
         HIGH edge never carries the complement tag (negation is pushed
         to the low edge and the parent reference instead)."""
-        mgr = BDDManager()
+        mgr = new_manager()
         mgr.declare_all(NAMES)
         lhs[0](mgr)
-        free = set(mgr._free)
-        for idx in range(1, len(mgr._level)):
-            if idx not in free:
-                assert mgr._high[idx] & 1 == 0
+        kernel = mgr._k
+        for idx in range(1, kernel.capacity()):
+            level, _, high = kernel.node(idx)
+            if level != -1:                     # not on the free list
+                assert high & 1 == 0

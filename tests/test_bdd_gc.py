@@ -16,7 +16,6 @@ import itertools
 import pytest
 
 from repro.bdd import BDDManager, Ref
-from repro.bdd.reorder import sift
 
 NAMES = ["a", "b", "c", "d", "e", "f"]
 
@@ -42,8 +41,8 @@ def _build_clutter(mgr, rounds=40):
 
 
 class TestCollect:
-    def test_dropped_nodes_reclaimed_live_nodes_survive(self):
-        mgr = BDDManager()
+    def test_dropped_nodes_reclaimed_live_nodes_survive(self, new_manager):
+        mgr = new_manager()
         mgr.declare_all(NAMES)
         keep = _build_clutter(mgr)
         table_before = _truth_table(mgr, keep, NAMES)
@@ -56,8 +55,8 @@ class TestCollect:
         # the kept function is untouched, node for node
         assert _truth_table(mgr, keep, NAMES) == table_before
 
-    def test_collect_updates_stats_and_epoch(self):
-        mgr = BDDManager()
+    def test_collect_updates_stats_and_epoch(self, new_manager):
+        mgr = new_manager()
         mgr.declare_all(NAMES)
         _build_clutter(mgr)
         epoch = mgr.gc_epoch
@@ -68,18 +67,18 @@ class TestCollect:
         assert mgr.gc_epoch == epoch + 1
         assert stats["peak_nodes"] >= stats["nodes"]
 
-    def test_freed_slots_are_reused(self):
-        mgr = BDDManager()
+    def test_freed_slots_are_reused(self, new_manager):
+        mgr = new_manager()
         mgr.declare_all(NAMES)
         _build_clutter(mgr, rounds=60)
         mgr.collect()
-        capacity = len(mgr._level)
+        capacity = mgr._k.capacity()
         _build_clutter(mgr, rounds=30)
         # regrowth fills recycled slots before extending the arrays
-        assert len(mgr._level) == capacity
+        assert mgr._k.capacity() == capacity
 
-    def test_caches_coherent_after_collect(self):
-        mgr = BDDManager()
+    def test_caches_coherent_after_collect(self, new_manager):
+        mgr = new_manager()
         mgr.declare_all(NAMES)
         a, b, c = mgr.var("a"), mgr.var("b"), mgr.var("c")
         kept = (a & b) | ~c
@@ -90,10 +89,10 @@ class TestCollect:
         per_op = mgr.cache_stats()
         # AND and OR share one table (De Morgan); attribution is split
         assert (per_op["and"]["entries"] + per_op["or"]["entries"]
-                == len(mgr._and_cache))
+                == mgr.computed_sizes()[0])
 
-    def test_roots_argument_pins_anonymous_ids(self):
-        mgr = BDDManager()
+    def test_roots_argument_pins_anonymous_ids(self, new_manager):
+        mgr = new_manager()
         mgr.declare_all(NAMES)
         f = _build_clutter(mgr)
         raw = f.node          # escape the Ref
@@ -112,8 +111,8 @@ class TestRootProviders:
         def bdd_roots(self, mgr):
             return self.ids
 
-    def test_registered_provider_pins_nodes(self):
-        mgr = BDDManager()
+    def test_registered_provider_pins_nodes(self, new_manager):
+        mgr = new_manager()
         mgr.declare_all(NAMES)
         f = _build_clutter(mgr)
         table = _truth_table(mgr, f, NAMES)
@@ -122,11 +121,11 @@ class TestRootProviders:
         raw = f.node
         del f
         mgr.collect()
-        assert mgr._level[raw >> 1] != -1          # not swept
+        assert mgr._k.level(raw >> 1) != -1          # not swept
         assert _truth_table(mgr, Ref(mgr, raw), NAMES) == table
 
-    def test_dead_provider_is_dropped(self):
-        mgr = BDDManager()
+    def test_dead_provider_is_dropped(self, new_manager):
+        mgr = new_manager()
         mgr.declare_all(NAMES)
         f = _build_clutter(mgr)
         provider = self.Pins([f.node])
@@ -134,13 +133,13 @@ class TestRootProviders:
         raw = f.node
         del f, provider                  # weakref goes stale
         mgr.collect()
-        assert mgr._level[raw >> 1] == -1          # swept
+        assert mgr._k.level(raw >> 1) == -1          # swept
 
-    def test_encoder_memo_survives_gc(self):
+    def test_encoder_memo_survives_gc(self, new_manager):
         """The SAT encoder registers itself: ids its BDD→CNF memo is
         keyed by must not be recycled underneath it."""
         from repro.sat import DualRailEncoder
-        mgr = BDDManager()
+        mgr = new_manager()
         mgr.declare_all(NAMES)
         enc = DualRailEncoder()
         f = _build_clutter(mgr)
@@ -148,13 +147,13 @@ class TestRootProviders:
         raw = f.node
         del f
         mgr.collect()
-        assert mgr._level[raw >> 1] != -1          # pinned by the memo
+        assert mgr._k.level(raw >> 1) != -1          # pinned by the memo
         assert enc.bdd_lit(Ref(mgr, raw)) == lit
 
 
 class TestMaybeCollect:
-    def test_trigger_is_lazy_and_adaptive(self):
-        mgr = BDDManager()
+    def test_trigger_is_lazy_and_adaptive(self, new_manager):
+        mgr = new_manager()
         mgr.declare_all(NAMES)
         mgr.gc_threshold = 50
         kept = _build_clutter(mgr, rounds=80)
@@ -165,27 +164,14 @@ class TestMaybeCollect:
         assert mgr.num_nodes() == live
         assert kept.sat_count(len(NAMES)) == kept.sat_count(len(NAMES))
 
-    def test_auto_gc_off_never_collects(self):
-        mgr = BDDManager()
+    def test_auto_gc_off_never_collects(self, new_manager):
+        mgr = new_manager()
         mgr.auto_gc = False
         mgr.gc_threshold = 1
         mgr.declare_all(NAMES)
         _build_clutter(mgr)
         assert mgr.maybe_collect() is None
         assert mgr.stats()["gc_runs"] == 0
-
-
-class TestSiftUnderGc:
-    def test_sift_after_collect_preserves_semantics(self):
-        mgr = BDDManager()
-        mgr.declare_all(NAMES)
-        f = _build_clutter(mgr)
-        g = (mgr.var("a") ^ mgr.var("d")) | (mgr.var("b") & mgr.var("f"))
-        tf, tg = (_truth_table(mgr, r, NAMES) for r in (f, g))
-        mgr.collect()
-        sift(mgr)
-        assert _truth_table(mgr, f, NAMES) == tf
-        assert _truth_table(mgr, g, NAMES) == tg
 
 
 class TestPropertyIISession:
